@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
+import numpy as np
+
 from .errors import DomainError, SingularityError
 
 # Margin (radians) kept from sector boundaries and singular rays when growth
@@ -74,12 +76,17 @@ class Singularity:
 
 @dataclass(frozen=True)
 class AmplitudeSpec:
-    """Full description of an amplitude function f(t)."""
+    """Full description of an amplitude function f(t).
+
+    coeffs(n) returns the first n series coefficients c_0 .. c_{n-1} as a
+    complex array; the builtins return read-only arrays built from their
+    own recurrences.
+    """
 
     mu: float
     beta: complex
     radius: float
-    coeff_rule: Callable[[int], complex]
+    coeffs: Callable[[int], np.ndarray]
     evaluator: Callable[[complex], complex]
     growth_A: float
     growth_sigma: float
@@ -137,8 +144,7 @@ def series_value(spec: AmplitudeSpec, t: complex, n_terms: int) -> complex:
         raise DomainError("series_value requires t != 0 (fractional powers at the origin)")
     log_t = cmath.log(t)
     total: complex = 0.0
-    for n in range(n_terms):
-        c = spec.coeff_rule(n)
+    for n, c in enumerate(spec.coeffs(n_terms).tolist()):
         if c == 0:
             continue
         expo = (n + spec.beta) / spec.mu - 1.0
@@ -146,19 +152,33 @@ def series_value(spec: AmplitudeSpec, t: complex, n_terms: int) -> complex:
     return total
 
 
-def _alt_binom_coeff(b: complex, n: int) -> complex:
-    """(-1)^n (b)_n / n!, formed as a running product to avoid huge factorials."""
-    p: complex = 1.0
-    for k in range(n):
-        p *= -(b + k) / (k + 1)
-    return p
+def _frozen(values: np.ndarray) -> np.ndarray:
+    out = np.asarray(values, dtype=complex)
+    out.flags.writeable = False
+    return out
 
 
-def _pochhammer_over_factorial(a: complex, n: int) -> complex:
-    p: complex = 1.0
-    for k in range(n):
-        p *= (a + k) / (k + 1)
-    return p
+def _unit_phases(psi: float, k: np.ndarray) -> np.ndarray:
+    """e^{i psi k} for integers 0 <= k < 2^31.
+
+    psi is split as hi + lo with hi on a 2^-20 grid, so hi*k is exact and
+    lo*k is tiny; a plain psi*k would carry its rounding, about
+    1e-16 |psi k|, into the phase.
+    """
+    hi = round(psi * 2.0**20) / 2.0**20
+    return np.exp(1j * (hi * k)) * np.exp(1j * ((psi - hi) * k))
+
+
+def _pochhammer_ratio_coeffs(a: complex, sign: float, n: int) -> np.ndarray:
+    """sign^k (a)_k / k! for k < n, as a running product of the ratios sign (a+k)/(k+1)."""
+    a = complex(a)
+    d = np.arange(1.0, n)  # k + 1 for k < n - 1
+    ratios = np.empty(n, dtype=complex)
+    ratios[:1] = 1.0
+    # Real and imaginary parts divided separately, each rounded once.
+    ratios.real[1:] = sign * (a.real + d - 1.0) / d
+    ratios.imag[1:] = sign * a.imag / d
+    return np.cumprod(ratios)
 
 
 def _spec_u_chg(a: complex, b: complex) -> AmplitudeSpec:
@@ -176,7 +196,7 @@ def _spec_u_chg(a: complex, b: complex) -> AmplitudeSpec:
         mu=1.0,
         beta=a,
         radius=1.0,
-        coeff_rule=lambda n: _alt_binom_coeff(b, n),
+        coeffs=lambda n: _frozen(_pochhammer_ratio_coeffs(b, -1.0, n)),
         evaluator=f,
         growth_A=growth_a,
         growth_sigma=0.0,
@@ -216,7 +236,7 @@ def _spec_struve_k0() -> AmplitudeSpec:
         mu=0.5,
         beta=0.5,
         radius=1.0,
-        coeff_rule=lambda n: _alt_binom_coeff(0.5, n),
+        coeffs=lambda n: _frozen(_pochhammer_ratio_coeffs(0.5, -1.0, n)),
         evaluator=f,
         growth_A=growth_a,
         growth_sigma=0.0,
@@ -246,7 +266,7 @@ def _spec_pole(psi: float) -> AmplitudeSpec:
         mu=1.0,
         beta=1.0,
         radius=1.0,
-        coeff_rule=lambda n: cmath.exp(1j * psi * (n + 1)),
+        coeffs=lambda n: _frozen(_unit_phases(psi, np.arange(1.0, n + 1))),
         evaluator=f,
         growth_A=1.25 / math.sin(GROWTH_MARGIN),
         growth_sigma=0.0,
@@ -269,7 +289,9 @@ def _spec_sqrt_branch(psi: float) -> AmplitudeSpec:
         mu=1.0,
         beta=1.0,
         radius=1.0,
-        coeff_rule=lambda n: _pochhammer_over_factorial(0.5, n) * cmath.exp(1j * n * psi),
+        coeffs=lambda n: _frozen(
+            _pochhammer_ratio_coeffs(0.5, 1.0, n) * _unit_phases(psi, np.arange(float(n)))
+        ),
         evaluator=f,
         growth_A=1.25 / math.sqrt(math.sin(GROWTH_MARGIN)),
         growth_sigma=0.0,
@@ -285,7 +307,7 @@ def _spec_c0() -> AmplitudeSpec:
         mu=1.0,
         beta=1.0,
         radius=math.inf,
-        coeff_rule=lambda n: 1.0 if n == 0 else 0.0,
+        coeffs=lambda n: _frozen(np.arange(n) == 0),
         evaluator=lambda t: 1.0 + 0.0j,
         growth_A=1.0,
         growth_sigma=0.0,

@@ -18,11 +18,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .amplitude import AmplitudeSpec, SimplePole, Singularity, SqrtBranch
 from .errors import DomainError
-from .incgamma import gamma_lower_logc, log_gamma
+from .incgamma import gamma_lower_logc, gamma_upper_logc, log_gamma
 from .quadrature import quad_complex_checked
-from .summation import neumaier_csum
 
 # Default sector margin for envelope logic; CLI-overridable.
 DEFAULT_DELTA = 0.02 * math.pi
@@ -90,29 +91,108 @@ def _check_z_r(spec: AmplitudeSpec, z: complex, r: float) -> tuple[float, float,
     return x, theta, complex(math.log(x), theta)
 
 
+def _fsum(terms: np.ndarray) -> complex:
+    """Correctly rounded sum of complex terms, real and imaginary parts separately."""
+    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+
+
+def _lattice_step(mu: float) -> int | None:
+    """1/mu when the exponents (n+beta)/mu lie 1/mu steps apart on a unit lattice, else None."""
+    return {1.0: 1, 0.5: 2}.get(mu)
+
+
+def _unit_lattice(w: np.ndarray, step: int) -> np.ndarray:
+    """a_j = w_0 + j for j <= step (len(w) - 1); w_n is a_{step n}."""
+    return w[0] + np.arange(step * (len(w) - 1) + 1)
+
+
+def _lattice_log_gamma(a: np.ndarray) -> np.ndarray:
+    """log Gamma(a_j) on a unit lattice: one log_gamma call, then a running sum of log a_j."""
+    return np.cumsum(np.concatenate(([log_gamma(a[0])], np.log(a[:-1]))))
+
+
+def _log_gamma_terms(w: np.ndarray, mu: float) -> np.ndarray:
+    """log Gamma(w_n) for w_n = (n+beta)/mu (imaginary part mod 2 pi)."""
+    step = _lattice_step(mu)
+    if step is None:
+        return np.array([log_gamma(v) for v in w.tolist()])
+    return _lattice_log_gamma(_unit_lattice(w, step))[::step]
+
+
+def _log_lower_forward(a: np.ndarray, chi: float, log_chi: float) -> np.ndarray:
+    """log gamma(a_j, chi) on a unit lattice with Re a_j < chi.
+
+    U_j = Gamma(a_j, chi) e^chi chi^(-a_j) obeys U_{j+1} = (a_j U_j + 1)/chi,
+    which shrinks an error by |a_j|/chi < 1 a step; then
+    log gamma = log Gamma(a) + log(1 - Gamma(a, chi)/Gamma(a)).
+    """
+    a0 = complex(a[0])
+    u = cmath.exp(gamma_upper_logc(a0, chi) + chi - a0 * log_chi)
+    us = [u]
+    for aj in a[:-1].tolist():
+        u = (aj * u + 1.0) / chi
+        us.append(u)
+    log_upper = np.log(us) - chi + a * log_chi
+    lg = _lattice_log_gamma(a)
+    return lg + np.log1p(-np.exp(log_upper - lg))
+
+
+def _log_lower_backward(a: np.ndarray, chi: float, log_chi: float) -> np.ndarray:
+    """log gamma(a_j, chi) on a unit lattice with Re a_j >= chi.
+
+    S_j = gamma(a_j, chi) e^chi chi^(-a_j) obeys S_j = (chi S_{j+1} + 1)/a_j,
+    which, run downward from the top, shrinks an error by chi/|a_j| < 1 a step.
+    """
+    top = complex(a[-1])
+    s = cmath.exp(gamma_lower_logc(top, chi) + chi - top * log_chi)
+    ss = [s]
+    for aj in a[-2::-1].tolist():
+        s = (chi * s + 1.0) / aj
+        ss.append(s)
+    return np.log(ss[::-1]) - chi + a * log_chi
+
+
+def _log_lower_terms(w: np.ndarray, mu: float, chi: float) -> np.ndarray:
+    """log gamma(w_n, chi) for w_n = (n+beta)/mu (imaginary part mod 2 pi).
+
+    For mu = 1 or 1/2 the whole unit lattice through the w_n is filled from
+    two incomplete-gamma evaluations: the recurrence runs forward below
+    Re a = chi and backward above it.  Other mu evaluate every term.
+    """
+    step = _lattice_step(mu)
+    if step is None:
+        return np.array([gamma_lower_logc(v, chi) for v in w.tolist()])
+    a = _unit_lattice(w, step)
+    log_chi = math.log(chi)
+    split = min(len(a), max(0, math.ceil(chi - a[0].real)))
+    out = np.empty(len(a), dtype=complex)
+    if split > 0:
+        out[:split] = _log_lower_forward(a[:split], chi, log_chi)
+    if split < len(a):
+        out[split:] = _log_lower_backward(a[split:], chi, log_chi)
+    return out[::step]
+
+
 def watson_sum(
     spec: AmplitudeSpec, z: complex, r: float, delta: float = DEFAULT_DELTA
 ) -> TruncatedExpansion:
     """Optimally truncated expansion of I(z) with its error envelope.
 
     Terms are formed in log space (principal branch of z^w throughout) and
-    accumulated with compensated summation.
+    summed with correct rounding.
     """
     x, _theta, log_z = _check_z_r(spec, z, r)
     n_star = truncation_index(spec.mu, spec.beta, r, x)
-    terms = []
-    for n in range(n_star + 1):
-        c = spec.coeff_rule(n)
-        if c == 0:
-            terms.append(0.0 + 0.0j)
-            continue
-        w = (n + spec.beta) / spec.mu
-        terms.append(c * cmath.exp(log_gamma(w) - w * log_z))
+    c = np.asarray(spec.coeffs(n_star + 1), dtype=complex)
+    w = (np.arange(n_star + 1) + spec.beta) / spec.mu
+    nz = c != 0
+    terms = np.zeros(n_star + 1, dtype=complex)
+    terms[nz] = c[nz] * np.exp(_log_gamma_terms(w, spec.mu)[nz] - w[nz] * log_z)
     env_alg, env_sing = remainder_envelope(spec, z, r, delta)
     return TruncatedExpansion(
         n_star=n_star,
-        value=neumaier_csum(terms),
-        terms=tuple(terms),
+        value=_fsum(terms),
+        terms=tuple(terms.tolist()),
         envelope_alg=env_alg,
         envelope_sing=env_sing,
     )
@@ -121,43 +201,36 @@ def watson_sum(
 def hadamard_sum(spec: AmplitudeSpec, z: complex, r: float, n_terms: int) -> complex:
     """Convergent first-stage sum: sum_n c_n gamma((n+beta)/mu, r|z|) z^(-(n+beta)/mu).
 
-    Together with the tail integral it reproduces I(z) exactly.  Terms whose
-    a-priori bound falls below 1e-16 of the running sum three times in a row
-    are skipped.
+    Together with the tail integral it reproduces I(z) exactly.  The sum
+    stops after the third term in a row whose a-priori bound falls below
+    1e-16 of the running sum.
     """
     if n_terms < 1:
         raise DomainError(f"n_terms must be positive, got {n_terms}")
     x, theta, log_z = _check_z_r(spec, z, r)
     chi = r * x
-    beta_re = complex(spec.beta).real
-    beta_im = complex(spec.beta).imag
-    terms = []
-    running = 0.0 + 0.0j
-    small_streak = 0
-    for n in range(n_terms):
-        c = spec.coeff_rule(n)
-        w = (n + spec.beta) / spec.mu
-        if c != 0:
-            term = c * cmath.exp(gamma_lower_logc(w, chi) - w * log_z)
-            terms.append(term)
-            running += term
-        # |gamma(w, chi)| <= mu (r x)^(Re w) / (n + Re beta); relative to
-        # |z^w| = x^(Re w) e^(-theta Im w) this leaves mu r^(Re w)/(n+Re beta).
-        if abs(running) > 0.0 and c != 0:
-            log_bound = (
-                math.log(spec.mu)
-                + ((n + beta_re) / spec.mu) * math.log(r)
-                - math.log(n + beta_re)
-                + math.log(abs(c))
-                + theta * beta_im / spec.mu
-            )
-            if log_bound < math.log(1e-16 * abs(running)):
-                small_streak += 1
-                if small_streak >= 3:
-                    break
-            else:
-                small_streak = 0
-    return neumaier_csum(terms)
+    beta = complex(spec.beta)
+    c = np.asarray(spec.coeffs(n_terms), dtype=complex)
+    w = (np.arange(n_terms) + beta) / spec.mu
+    nz = np.flatnonzero(c)
+    terms = np.zeros(n_terms, dtype=complex)
+    terms[nz] = c[nz] * np.exp(_log_lower_terms(w, spec.mu, chi)[nz] - w[nz] * log_z)
+
+    running = np.abs(np.cumsum(terms))
+    n = nz[running[nz] > 0.0]
+    # |gamma(w, chi)| <= mu (r x)^(Re w) / (n + Re beta); relative to
+    # |z^w| = x^(Re w) e^(-theta Im w) this leaves mu r^(Re w)/(n+Re beta).
+    log_bound = (
+        math.log(spec.mu)
+        + ((n + beta.real) / spec.mu) * math.log(r)
+        - np.log(n + beta.real)
+        + np.log(np.abs(c[n]))
+        + theta * beta.imag / spec.mu
+    )
+    small = log_bound < np.log(1e-16 * running[n])
+    streaks = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
+    stop = n[streaks[0] + 2] + 1 if streaks.size else n_terms
+    return _fsum(terms[:stop])
 
 
 def _ray_singularity_distance(sing: Singularity, theta: float, r: float) -> float:

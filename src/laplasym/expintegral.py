@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from scipy import integrate
 
 from .errors import DomainError
-from .summation import neumaier_sum
 
 
 def _quad(f, a: float, b: float, points=None) -> float:
@@ -64,7 +63,7 @@ def e1_partial_sum(x: float, n: int) -> float:
         raise DomainError(f"n must be nonnegative, got {n}")
     log_x = math.log(x)
     terms = [(-1.0) ** k * math.exp(math.lgamma(k + 1) - k * log_x) for k in range(n)]
-    return neumaier_sum(terms)
+    return math.fsum(terms)
 
 
 def e1_remainder_integral(x: float, n: int) -> float:

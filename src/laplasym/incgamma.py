@@ -158,8 +158,10 @@ def gamma_lower_logc(a: complex, chi: float) -> complex:
         raise DomainError(f"gamma_lower requires Re(a) > 0, got a={a}")
     if chi < a.real + 1.0:
         return _lower_series_log(a, chi)
-    upper = cmath.exp(_upper_cf_log(a, chi))
-    return log_gamma(a) + _clog1p(-upper / gamma_complete(a))
+    lg = log_gamma(a)
+    # The ratio Gamma(a, chi)/Gamma(a) is formed in log space: either factor
+    # alone overflows once Re(a) > 171.
+    return lg + _clog1p(-cmath.exp(_upper_cf_log(a, chi) - lg))
 
 
 def gamma_upper_logc(a: complex, chi: float) -> complex:
@@ -168,8 +170,8 @@ def gamma_upper_logc(a: complex, chi: float) -> complex:
     _check_chi(chi)
     if a.real <= 0.0 or chi >= a.real + 1.0:
         return _upper_cf_log(a, chi)
-    lower = cmath.exp(_lower_series_log(a, chi))
-    return log_gamma(a) + _clog1p(-lower / gamma_complete(a))
+    lg = log_gamma(a)
+    return lg + _clog1p(-cmath.exp(_lower_series_log(a, chi) - lg))
 
 
 def gamma_lower(a: complex, chi: float) -> complex:

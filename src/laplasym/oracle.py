@@ -30,8 +30,7 @@ class QuadratureResult:
 
 def _leading_term_scale(spec: AmplitudeSpec, z: complex) -> float:
     log_z = complex(math.log(abs(z)), cmath.phase(z))
-    for n in range(3):
-        c = spec.coeff_rule(n)
+    for n, c in enumerate(spec.coeffs(3).tolist()):
         if c != 0:
             w = (n + spec.beta) / spec.mu
             return abs(c * cmath.exp(log_gamma(w) - w * log_z))

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,17 +53,17 @@ def test_pochhammer_recurrence(a, n):
 def test_builtin_coefficients():
     psi = 0.1 * math.pi
     pole = builtin_spec("pole", psi=psi)
-    assert pole.coeff_rule(0) == pytest.approx(cmath.exp(1j * psi), rel=1e-15)
-    assert pole.coeff_rule(4) == pytest.approx(cmath.exp(5j * psi), rel=1e-14)
+    assert pole.coeffs(5)[0] == pytest.approx(cmath.exp(1j * psi), rel=1e-15)
+    assert pole.coeffs(5)[4] == pytest.approx(cmath.exp(5j * psi), rel=1e-14)
 
     sq = builtin_spec("sqrt_branch", psi=psi)
-    assert sq.coeff_rule(1) == pytest.approx(0.5 * cmath.exp(1j * psi), rel=1e-15)
+    assert sq.coeffs(2)[1] == pytest.approx(0.5 * cmath.exp(1j * psi), rel=1e-15)
 
     uc = builtin_spec("u_chg", a=0.5, b=0.75)
-    assert uc.coeff_rule(3) == pytest.approx(-pochhammer(0.75, 3) / 6, rel=1e-14)
+    assert uc.coeffs(4)[3] == pytest.approx(-pochhammer(0.75, 3) / 6, rel=1e-14)
 
     sv = builtin_spec("struve_k0")
-    assert sv.coeff_rule(2) == pytest.approx(pochhammer(0.5, 2) / 2, rel=1e-14)
+    assert sv.coeffs(3)[2] == pytest.approx(pochhammer(0.5, 2) / 2, rel=1e-14)
     assert sv.mu == 0.5 and sv.beta == 0.5
 
 
@@ -124,9 +125,10 @@ def test_coefficient_series_converges_inside_radius(name, params):
     spec = builtin_spec(name, **params)
     r = 0.9 * spec.radius
     beta_re = complex(spec.beta).real
+    c = spec.coeffs(101)
 
     def term(n):
-        return abs(spec.coeff_rule(n)) * r ** ((n + beta_re) / spec.mu)
+        return abs(c[n]) * r ** ((n + beta_re) / spec.mu)
 
     assert term(100) < 1e-4
     assert term(100) < 0.01 * term(10)
@@ -169,7 +171,7 @@ def test_amplitude_spec_invariants():
             mu=-1.0,
             beta=1.0,
             radius=1.0,
-            coeff_rule=ok.coeff_rule,
+            coeffs=ok.coeffs,
             evaluator=ok.evaluator,
             growth_A=1.0,
             growth_sigma=0.0,
@@ -181,7 +183,7 @@ def test_amplitude_spec_invariants():
             mu=1.0,
             beta=-0.5,
             radius=1.0,
-            coeff_rule=ok.coeff_rule,
+            coeffs=ok.coeffs,
             evaluator=ok.evaluator,
             growth_A=1.0,
             growth_sigma=0.0,
@@ -194,7 +196,7 @@ def test_amplitude_spec_invariants():
             mu=1.0,
             beta=1.0,
             radius=1.0,
-            coeff_rule=ok.coeff_rule,
+            coeffs=ok.coeffs,
             evaluator=ok.evaluator,
             growth_A=1.0,
             growth_sigma=0.0,
@@ -202,3 +204,60 @@ def test_amplitude_spec_invariants():
             sector_alpha2=math.pi / 2,
             singularities=(Singularity(rho=0.5, phi=-0.3, kind=SqrtBranch()),),
         )
+
+
+def _mp_binomial_series(a, sign, n):
+    """sign^n (a)_n / n! from mpmath's rising factorial at 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        return complex(sign**n * mpmath.rf(mpmath.mpmathify(a), n) / mpmath.factorial(n))
+
+
+def _mp_phase(psi, k):
+    import mpmath
+
+    with mpmath.workdps(30):
+        return complex(mpmath.expj(mpmath.mpf(psi) * k))
+
+
+COEFF_CLOSED_FORMS = [
+    ("u_chg", dict(a=0.5, b=0.75), lambda n: _mp_binomial_series(0.75, -1, n)),
+    (
+        "u_chg",
+        dict(a=0.5 + 0.3j, b=1.25 - 0.5j),
+        lambda n: _mp_binomial_series(1.25 - 0.5j, -1, n),
+    ),
+    ("struve_k0", {}, lambda n: _mp_binomial_series(0.5, -1, n)),
+    ("pole", dict(psi=0.45 * math.pi), lambda n: _mp_phase(0.45 * math.pi, n + 1)),
+    (
+        "sqrt_branch",
+        dict(psi=0.4 * math.pi),
+        lambda n: _mp_binomial_series(0.5, 1, n) * _mp_phase(0.4 * math.pi, n),
+    ),
+    ("c0", {}, lambda n: 1.0 if n == 0 else 0.0),
+]
+
+
+@pytest.mark.parametrize("name,params,closed_form", COEFF_CLOSED_FORMS)
+def test_coeffs_match_pochhammer_closed_form(name, params, closed_form):
+    # The running products of the coefficient ratios must not drift from the
+    # closed form over the longest sums the expansions take (n* = 1280).
+    spec = builtin_spec(name, **params)
+    c = spec.coeffs(1281)
+    assert c.shape == (1281,) and c.dtype == complex
+    for n in range(1281):
+        want = closed_form(n)
+        assert abs(c[n] - want) <= 1e-13 * abs(want), n
+    # A prefix request returns the same leading coefficients.
+    assert np.array_equal(spec.coeffs(17), c[:17])
+
+
+@pytest.mark.parametrize("name,params,_closed_form", COEFF_CLOSED_FORMS)
+def test_coeffs_read_only_and_empty(name, params, _closed_form):
+    spec = builtin_spec(name, **params)
+    assert spec.coeffs(0).shape == (0,)
+    c = spec.coeffs(5)
+    assert not c.flags.writeable
+    with pytest.raises(ValueError):
+        c[0] = 2.0

@@ -1,9 +1,12 @@
 import cmath
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from laplasym import (
+    AmplitudeSpec,
     DomainError,
     EvalPoint,
     SimplePole,
@@ -23,6 +26,7 @@ from laplasym import (
     upsilon,
     watson_sum,
 )
+from laplasym.incgamma import gamma_lower_logc
 
 R = 0.8
 
@@ -131,8 +135,7 @@ def test_split_identity():
     ws = watson_sum(spec, z, R)
     upper_sum = 0.0 + 0.0j
     head = 0.0 + 0.0j
-    for n in range(ws.n_star + 1):
-        c = spec.coeff_rule(n)
+    for n, c in enumerate(spec.coeffs(ws.n_star + 1)):
         w = n + 0.5
         upper_sum += c * gamma_upper(w, R * x) * cmath.exp(-w * log_z)
         head += c * gamma_lower(w, R * x) * cmath.exp(-w * log_z)
@@ -335,8 +338,7 @@ def test_term_minimum_near_limit_truncation_index():
             from laplasym import log_gamma
 
             mags = []
-            for n in range(int(3 * x) + 2):
-                c = spec.coeff_rule(n)
+            for n, c in enumerate(spec.coeffs(int(3 * x) + 2)):
                 w = (n + spec.beta) / spec.mu
                 mags.append(abs(c * cmath.exp(log_gamma(w) - w * log_z)))
             argmin = mags.index(min(mags))
@@ -351,3 +353,151 @@ def test_eval_point_validation():
         EvalPoint(x=-1.0, theta=0.0)
     with pytest.raises(DomainError):
         EvalPoint(x=1.0, theta=0.49 * math.pi, delta=0.02 * math.pi)
+
+
+def _per_term_hadamard(spec, z, r, n_terms):
+    """Reference Hadamard sum: one gamma_lower_logc per term, same stopping rule."""
+    x, theta = abs(z), cmath.phase(z)
+    log_z = complex(math.log(x), theta)
+    beta = complex(spec.beta)
+    c = spec.coeffs(n_terms)
+    terms, running, streak = [], 0j, 0
+    for n in range(n_terms):
+        if c[n] == 0:
+            continue
+        w = (n + beta) / spec.mu
+        term = c[n] * cmath.exp(gamma_lower_logc(w, r * x) - w * log_z)
+        terms.append(term)
+        running += term
+        log_bound = (
+            math.log(spec.mu)
+            + ((n + beta.real) / spec.mu) * math.log(r)
+            - math.log(n + beta.real)
+            + math.log(abs(c[n]))
+            + theta * beta.imag / spec.mu
+        )
+        if log_bound < math.log(1e-16 * abs(running)):
+            streak += 1
+            if streak >= 3:
+                break
+        else:
+            streak = 0
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def _struve_like(beta):
+    """mu = 1/2 amplitude t^(2 beta - 1) (1 + t^2)^(-1/2): struve_k0's coefficients, complex beta."""
+    base = builtin_spec("struve_k0")
+    return AmplitudeSpec(
+        mu=0.5,
+        beta=beta,
+        radius=1.0,
+        coeffs=base.coeffs,
+        evaluator=lambda t: cmath.exp((2.0 * beta - 1.0) * cmath.log(t)) * base.evaluator(t),
+        growth_A=base.growth_A,
+        growth_sigma=0.0,
+        sector_alpha1=math.pi / 2,
+        sector_alpha2=math.pi / 2,
+        exclusions=base.exclusions,
+    )
+
+
+def _inverse_cubic():
+    """mu = 1/3 amplitude 1/(1 + t^3) = sum (-1)^n t^(3(n + 1/3) - 1)."""
+    return AmplitudeSpec(
+        mu=1.0 / 3.0,
+        beta=1.0 / 3.0,
+        radius=1.0,
+        coeffs=lambda n: (-1.0) ** np.arange(n) + 0j,
+        evaluator=lambda t: 1.0 / (1.0 + t**3),
+        growth_A=2.0,
+        growth_sigma=0.0,
+        sector_alpha1=math.pi / 2,
+        sector_alpha2=math.pi / 2,
+        exclusions=(cmath.exp(1j * math.pi / 3), -1.0 + 0j, cmath.exp(-1j * math.pi / 3)),
+    )
+
+
+LATTICE_SPECS = [
+    ("u_chg", lambda: builtin_spec("u_chg", a=0.5, b=0.75)),
+    ("u_chg complex beta", lambda: builtin_spec("u_chg", a=0.5 + 0.3j, b=1.25 - 0.5j)),
+    ("struve_k0", lambda: builtin_spec("struve_k0")),
+    ("mu=1/2 complex beta", lambda: _struve_like(0.5 + 0.2j)),
+    ("pole", lambda: builtin_spec("pole", psi=0.1 * math.pi)),
+    ("sqrt_branch", lambda: builtin_spec("sqrt_branch", psi=0.4 * math.pi)),
+]
+
+
+@pytest.mark.parametrize("label,make", LATTICE_SPECS)
+def test_lattice_hadamard_matches_per_term_sum(label, make):
+    # r|z| runs from 4 to 1280, so the lattice of gamma((n+beta)/mu, r|z|)
+    # lies above the forward/backward split, across it, and below it.
+    spec = make()
+    for x in (5.0, 20.0, 100.0, 400.0, 1600.0):
+        for th in (0.0, 0.3, -0.2):
+            z = x * cmath.exp(1j * math.pi * th)
+            want = _per_term_hadamard(spec, z, R, 500)
+            assert abs(hadamard_sum(spec, z, R, 500) - want) <= 1e-13 * abs(want), (label, x, th)
+
+
+def test_hadamard_short_lattice_one_side_of_split():
+    spec = builtin_spec("u_chg", a=0.5, b=0.75)
+    for x, n_terms in ((5.0, 1), (5.0, 2), (100.0, 1), (100.0, 3), (2.0, 60)):
+        z = x * cmath.exp(0.2j)
+        want = _per_term_hadamard(spec, z, R, n_terms)
+        assert abs(hadamard_sum(spec, z, R, n_terms) - want) <= 1e-13 * abs(want)
+
+
+def _count_calls(monkeypatch, names):
+    from laplasym import expansion
+
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(expansion, name, counting(name, getattr(expansion, name)))
+    return counts
+
+
+def test_work_counts_on_the_unit_lattice(monkeypatch):
+    counts = _count_calls(monkeypatch, ("log_gamma", "gamma_lower_logc", "gamma_upper_logc"))
+    for spec in (builtin_spec("u_chg", a=0.5, b=0.75), builtin_spec("struve_k0")):
+        counts.clear()
+        ws = watson_sum(spec, 1600.0 * cmath.exp(0.2j * math.pi), R)
+        assert ws.n_star >= 640
+        assert counts["log_gamma"] == 1
+        for x in (5.0, 20.0, 100.0, 400.0, 1600.0):
+            counts.clear()
+            hadamard_sum(spec, x * cmath.exp(0.2j * math.pi), R, 500)
+            assert counts["gamma_lower_logc"] + counts["gamma_upper_logc"] <= 2
+
+
+def test_other_mu_takes_the_per_term_fallback(monkeypatch):
+    spec = _inverse_cubic()
+    counts = _count_calls(monkeypatch, ("log_gamma", "gamma_lower_logc"))
+    for th in (0.0, 0.2):
+        z = 10.0 * cmath.exp(1j * math.pi * th)
+        counts.clear()
+        ws = watson_sum(spec, z, R)
+        assert counts["log_gamma"] == ws.n_star + 1
+        counts.clear()
+        h = hadamard_sum(spec, z, R, 80)
+        assert counts["gamma_lower_logc"] == 80
+        ref = reference_value(spec, z).value
+        assert abs(h + tail_integral_J(spec, z, R) - ref) <= 1e-9 * abs(ref)
+
+
+def test_hadamard_pole_at_large_z_matches_reference():
+    # gamma((n+1), r|z|) for n > 171 once overflowed through Gamma(a); the
+    # omitted tail here is below e^(-r|z|) = e^(-1280), so the sum alone is I(z).
+    spec = builtin_spec("pole", psi=0.1 * math.pi)
+    for th in (0.0, 0.2, 0.4):
+        z = 1600.0 * cmath.exp(1j * math.pi * th)
+        ref = reference_value(spec, z).value
+        assert abs(hadamard_sum(spec, z, R, 500) - ref) <= 1e-12 * abs(ref)

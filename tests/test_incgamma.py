@@ -17,7 +17,12 @@ from laplasym import (
     gamma_upper,
     gamma_upper_log,
 )
-from laplasym.incgamma import _lower_series_log, _upper_cf_log
+from laplasym.incgamma import (
+    _lower_series_log,
+    _upper_cf_log,
+    gamma_lower_logc,
+    gamma_upper_logc,
+)
 
 GRID_A = [
     base + shift for base in (0.5, 1.0, 2.5, 10.0) for shift in (0.0, 1j, -1j, 4j, -4j)
@@ -169,6 +174,22 @@ def test_log_variant_survives_overflow_scale():
     # Gamma(120, 100) overflows as a plain double; the log form must not.
     logmod, _ = gamma_upper_log(120.0, 100.0)
     assert 400.0 < logmod < 600.0
+
+
+@pytest.mark.parametrize("a,chi", [(300.0, 1280.0), (172.0, 400.0), (200.5 + 1j, 150.0)])
+def test_log_variants_beyond_gamma_overflow_against_mpmath(a, chi):
+    # Gamma(a) overflows a double for Re(a) > 171; the complement identity
+    # must form Gamma(a, chi)/Gamma(a) (or gamma/Gamma) in log space.
+    import mpmath
+
+    with mpmath.workdps(40):
+        want_lower = complex(mpmath.log(mpmath.gammainc(a, 0, chi)))
+        want_upper = complex(mpmath.log(mpmath.gammainc(a, chi)))
+    for got, want in ((gamma_lower_logc(a, chi), want_lower), (gamma_upper_logc(a, chi), want_upper)):
+        diff = got - want
+        diff = complex(diff.real, math.remainder(diff.imag, 2.0 * math.pi))
+        # An absolute log error is the relative error of the value.
+        assert abs(diff) <= 1e-15 * abs(want)
 
 
 def test_positivity_and_monotonicity_in_chi():

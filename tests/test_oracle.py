@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 import scipy.special as sp
 
@@ -71,7 +72,7 @@ def test_linearity_under_coefficient_scaling():
         mu=base.mu,
         beta=base.beta,
         radius=base.radius,
-        coeff_rule=lambda n: c * base.coeff_rule(n),
+        coeffs=lambda n: c * base.coeffs(n),
         evaluator=lambda t: c * base.evaluator(t),
         growth_A=abs(c) * base.growth_A,
         growth_sigma=base.growth_sigma,
@@ -102,7 +103,7 @@ def test_conjugated_coefficients_conjugate_the_value():
         mu=base.mu,
         beta=base.beta,
         radius=base.radius,
-        coeff_rule=lambda n: base.coeff_rule(n).conjugate(),
+        coeffs=lambda n: base.coeffs(n).conjugate(),
         evaluator=lambda t: base.evaluator(t.conjugate() if isinstance(t, complex) else t).conjugate(),
         growth_A=base.growth_A,
         growth_sigma=base.growth_sigma,
@@ -150,7 +151,7 @@ def test_preconditions():
         mu=1.0,
         beta=1.0,
         radius=1.0,
-        coeff_rule=lambda n: 1.0,
+        coeffs=lambda n: np.ones(n, dtype=complex),
         evaluator=lambda t: 1.0 / (1.0 - t),
         growth_A=10.0,
         growth_sigma=0.0,
